@@ -183,7 +183,6 @@ class _EngineBase:
                 }
         inv = np.float32(1.0 / self.scaler.scale)
         boost = np.float32(self.grad_injection)
-        overflow = False
         total_loss = 0.0
         accumulated: Params = {}
         grad_views = self._grad_arena.views
@@ -202,8 +201,6 @@ class _EngineBase:
                     if boost != 1.0:
                         g = g * boost
                     g16 = lower_precision(g, self.precision)
-                    if not np.all(np.isfinite(g16)):
-                        overflow = True
                     if name in accumulated:
                         # Chunked accumulate (dst += g16 * inv); the kernel
                         # silences the inf - inf style propagation expected
@@ -225,7 +222,13 @@ class _EngineBase:
                     else:
                         accumulated[name] = g16.astype(np.float32) * inv
                         all_in_arena = False
+        # Overflow is judged on the landed fp32 gradients, not on each
+        # fp16 copy (numpy's half-precision isfinite is ~8x slower): ``inv``
+        # is finite and >= 0, so ``g16 * inv`` is non-finite exactly when
+        # ``g16`` is, and accumulation never turns a non-finite value
+        # finite.
         if all_in_arena and set(accumulated) == set(grad_views):
+            overflow = not np.isfinite(self._grad_arena.flat).all()
             # Re-emit in layout order so downstream flat fast paths can
             # recognise the dict as the arena (no array copies involved).
             accumulated = {
@@ -235,10 +238,14 @@ class _EngineBase:
             if grad_accum > 1:
                 parallel_scale(self._grad_arena.flat,
                                np.float32(1.0 / grad_accum))
-        elif grad_accum > 1:
-            scale = np.float32(1.0 / grad_accum)
-            for name in accumulated:
-                accumulated[name] *= scale
+        else:
+            overflow = not all(
+                np.isfinite(g).all() for g in accumulated.values()
+            )
+            if grad_accum > 1:
+                scale = np.float32(1.0 / grad_accum)
+                for name in accumulated:
+                    accumulated[name] *= scale
         return total_loss / grad_accum, accumulated, overflow
 
     def _apply_clip(self, grads: Params, coef: float) -> Params:

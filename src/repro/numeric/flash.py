@@ -78,8 +78,6 @@ def resolve_blocks(
 # -- per-thread tile scratch -------------------------------------------
 
 _tls = threading.local()
-_scratch_lock = threading.Lock()
-_scratch_bytes_total = 0
 
 
 def _scratch(tag: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
@@ -89,7 +87,6 @@ def _scratch(tag: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
     block size does not divide) get their own handful of buffers; after
     the first pass over a given shape the hot loop allocates nothing.
     """
-    global _scratch_bytes_total
     bufs = getattr(_tls, "bufs", None)
     if bufs is None:
         bufs = _tls.bufs = {}
@@ -97,19 +94,17 @@ def _scratch(tag: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
     buf = bufs.get(key)
     if buf is None:
         buf = bufs[key] = np.empty(shape, dtype=dtype)
-        with _scratch_lock:
-            _scratch_bytes_total += buf.nbytes
     return buf
 
 
-def scratch_bytes_total() -> int:
-    """Bytes of per-thread tile scratch ever allocated, process-wide.
+def thread_scratch_bytes() -> int:
+    """Bytes of tile scratch held by the calling thread.
 
-    Monotonic (scratch is retained per thread); tests assert deltas stay
-    zero across steady-state steps and bounded by
-    :func:`tile_scratch_bytes` per worker overall.
+    Monotonic (scratch is retained per thread) and moved only by tiles
+    this thread runs, so tests assert steady-state deltas on it and
+    bound it by :func:`tile_scratch_bytes`.
     """
-    return _scratch_bytes_total
+    return sum(b.nbytes for b in getattr(_tls, "bufs", {}).values())
 
 
 def tile_scratch_bytes(

@@ -40,12 +40,35 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
+def _cube(x: np.ndarray, ws: Workspace = None) -> np.ndarray:
+    """``x**3`` as an fp64 product rounded once to ``x.dtype``.
+
+    numpy's ``power`` on float32 is a libm ``powf`` call per element
+    (~30x slower than this) and is not correctly rounded.  For fp32 and
+    fp16 inputs ``x * x`` is exact in fp64, so the single rounding of
+    the fp64 cube gives the correctly rounded result apart from rare
+    double-rounding ties.  With a workspace the fp64 scratch and the
+    result are workspace buffers, so a steady-state call allocates
+    nothing.
+    """
+    if ws is None:
+        c = np.multiply(x, x, dtype=np.float64)
+        c *= x
+        return c.astype(x.dtype, copy=False)
+    c = ws.take(x.shape, np.float64)
+    np.multiply(x, x, out=c, dtype=np.float64)
+    c *= x
+    out = ws.take(x.shape, x.dtype)
+    np.copyto(out, c, casting="same_kind")
+    ws.give(c)
+    return out
+
+
 def gelu(x: np.ndarray, ws: Workspace = None) -> np.ndarray:
     """GELU, tanh approximation (the GPT-2 variant)."""
     if ws is None:
-        return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + 0.044715 * x**3)))
-    t = ws.take(x.shape, x.dtype)
-    np.power(x, 3, out=t)
+        return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + 0.044715 * _cube(x))))
+    t = _cube(x, ws)
     t *= 0.044715
     t += x
     t *= _GELU_C
@@ -61,13 +84,12 @@ def gelu(x: np.ndarray, ws: Workspace = None) -> np.ndarray:
 def gelu_grad(x: np.ndarray, ws: Workspace = None) -> np.ndarray:
     """d gelu / dx for the tanh approximation."""
     if ws is None:
-        inner = _GELU_C * (x + 0.044715 * x**3)
+        inner = _GELU_C * (x + 0.044715 * _cube(x))
         tanh_inner = np.tanh(inner)
         sech2 = 1.0 - tanh_inner**2
         d_inner = _GELU_C * (1.0 + 3 * 0.044715 * x**2)
         return 0.5 * (1.0 + tanh_inner) + 0.5 * x * sech2 * d_inner
-    tanh_inner = ws.take(x.shape, x.dtype)
-    np.power(x, 3, out=tanh_inner)
+    tanh_inner = _cube(x, ws)
     tanh_inner *= 0.044715
     tanh_inner += x
     tanh_inner *= _GELU_C

@@ -228,90 +228,6 @@ class TinyTransformer:
         caches.append(("final", lnf_cache, head_cache))
         return logits, caches
 
-    # -- incremental decode ---------------------------------------------------
-
-    def decode_step(
-        self,
-        ids: np.ndarray,
-        kv,
-        session: int,
-        params: Params | None = None,
-        linear=None,
-        embed=None,
-    ) -> np.ndarray:
-        """Incremental forward of new tokens for one session.
-
-        The per-session reference decode path: K/V for the new tokens
-        is appended to a :class:`~repro.tensors.kvcache.PagedKVCache`
-        and attention runs against the paged history via online softmax,
-        so a prompt prefill (``len(ids) > 1``) and a single-token decode
-        are the same code path.  A full-sequence :meth:`forward` over
-        the concatenated history produces the same last-token logits up
-        to fp32 summation order (the serving tests hold this line).
-
-        Args:
-            ids: 1-D new token ids (whole prompt for prefill, one token
-                per decode step).
-            kv: the paged cache holding this session's history.
-            session: session id within ``kv``.
-            params: parameter set (defaults to the model's own).
-            linear: optional override ``linear(name, x) -> x @ w + b``
-                for the five weight planes (``h{i}.qkv`` / ``h{i}.proj``
-                / ``h{i}.fc1`` / ``h{i}.fc2`` / ``head``) — the hook the
-                quantized serving engine injects ``qmatmul`` through.
-            embed: optional override ``embed(ids) -> (t, hidden)`` token
-                embedding gather (quantized-embedding hook).
-
-        Returns:
-            fp32 ``(vocab,)`` logits of the **last** new token.
-        """
-        from repro.tensors.kvcache import paged_attention
-
-        p = params if params is not None else self.params
-        if linear is None:
-            def linear(name: str, x: np.ndarray) -> np.ndarray:
-                return x @ p[f"{name}.w"] + p[f"{name}.b"]
-        if embed is None:
-            def embed(ids: np.ndarray) -> np.ndarray:
-                return p["tok_emb"][ids]
-        ids = np.asarray(ids).reshape(-1)
-        t = ids.shape[0]
-        past = kv.tokens(session)
-        if past + t > self.spec.max_seq:
-            raise ValueError(
-                f"session {session} at {past}+{t} tokens exceeds "
-                f"max_seq {self.spec.max_seq}"
-            )
-        heads = self.spec.n_heads
-        h = self.spec.hidden
-        d = h // heads
-        x = embed(ids) + p["pos_emb"][past:past + t]
-        for i in range(self.spec.n_layers):
-            ln1, _ = LayerNorm.forward(
-                x, p[f"h{i}.ln1.g"], p[f"h{i}.ln1.b"], None
-            )
-            qkv = linear(f"h{i}.qkv", ln1)
-            q, k, v = (
-                a.reshape(t, heads, d).transpose(1, 0, 2)
-                for a in np.split(qkv, 3, axis=-1)
-            )
-            kv.append(session, i, np.ascontiguousarray(k),
-                      np.ascontiguousarray(v))
-            attn = paged_attention(
-                np.ascontiguousarray(q), kv.iter_pages(session, i), past
-            )
-            merged = attn.transpose(1, 0, 2).reshape(t, h)
-            x = x + linear(f"h{i}.proj", merged)
-            ln2, _ = LayerNorm.forward(
-                x, p[f"h{i}.ln2.g"], p[f"h{i}.ln2.b"], None
-            )
-            fc1 = linear(f"h{i}.fc1", ln2)
-            x = x + linear(f"h{i}.fc2", gelu(fc1, None))
-        lnf, _ = LayerNorm.forward(
-            x[-1:], p["ln_f.g"], p["ln_f.b"], None
-        )
-        return linear("head", lnf)[0]
-
     # -- loss + backward --------------------------------------------------------
 
     def loss_and_grads(

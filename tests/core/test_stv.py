@@ -6,6 +6,8 @@ gradient clipping (rollback + re-execute) and fp16 overflow (rollback +
 skip).
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,24 @@ def build(engine_cls, tiny_spec, *, clip=0.9, n_buckets=3,
         engine = SynchronousEngine(model, opt, clip_norm=clip,
                                    loss_scaler=scaler)
     return model, engine
+
+
+def poison(model, name, value, on_call):
+    """Make the ``on_call``-th ``loss_and_grads`` call return ``value`` in
+    the first element of gradient ``name`` (added if the model has no
+    such parameter)."""
+    inner = model.loss_and_grads
+    calls = itertools.count()
+
+    def loss_and_grads(*args, **kwargs):
+        loss, grads = inner(*args, **kwargs)
+        if next(calls) == on_call:
+            g = grads.get(name, np.zeros(3, np.float32)).copy()
+            g.flat[0] = value
+            grads[name] = g
+        return loss, grads
+
+    model.loss_and_grads = loss_and_grads
 
 
 def run(engine, batches, injection=None):
@@ -135,6 +155,55 @@ class TestOverflowHandling:
         assert sum(r.overflow for r in r_stv) == 2
         for k in m_ste.params:
             np.testing.assert_array_equal(m_ste.params[k], m_stv.params[k])
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("grad_accum,micro", [(1, 0), (2, 0), (2, 1)])
+    def test_non_finite_in_one_gradient_matches_ste(
+        self, tiny_spec, tiny_batches, value, grad_accum, micro
+    ):
+        """One poisoned element in one gradient, in any micro-batch, is
+        flagged as overflow and skipped exactly like STE skips it."""
+        poisoned_step = 2
+        runs = []
+        for engine_cls in (SynchronousEngine, STVEngine):
+            model, engine = build(engine_cls, tiny_spec)
+            name = list(model.params)[len(model.params) // 2]
+            poison(model, name, value,
+                   on_call=poisoned_step * grad_accum + micro)
+            reports = [engine.train_step(ids, tg, grad_accum=grad_accum)
+                       for ids, tg in tiny_batches[:5]]
+            runs.append((engine, reports))
+        (ste, r_ste), (stv, r_stv) = runs
+        assert [r.overflow for r in r_ste] == [
+            i == poisoned_step for i in range(5)
+        ]
+        for a, b in zip(r_ste, r_stv):
+            assert (a.loss, a.grad_norm, a.overflow, a.clipped,
+                    a.loss_scale) == (b.loss, b.grad_norm, b.overflow,
+                                      b.clipped, b.loss_scale)
+        assert stv.optimizer.step_count == ste.optimizer.step_count == 4
+        for k in ste.model.params:
+            np.testing.assert_array_equal(ste.model.params[k],
+                                          stv.model.params[k])
+            np.testing.assert_array_equal(ste.optimizer.state[k].m,
+                                          stv.optimizer.state[k].m)
+            np.testing.assert_array_equal(ste.optimizer.state[k].v,
+                                          stv.optimizer.state[k].v)
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    @pytest.mark.parametrize("grad_accum", [1, 2])
+    @pytest.mark.parametrize("in_arena", [True, False])
+    def test_forward_backward_overflow_verdict(
+        self, tiny_spec, tiny_batches, value, grad_accum, in_arena
+    ):
+        """The verdict comes from the landed fp32 gradients, both when
+        they all land in the gradient arena and when one does not."""
+        model, engine = build(STVEngine, tiny_spec)
+        ids, tg = tiny_batches[0]
+        assert not engine._forward_backward(ids, tg, grad_accum)[2]
+        name = list(model.params)[0] if in_arena else "off_arena"
+        poison(model, name, value, on_call=grad_accum - 1)
+        assert engine._forward_backward(ids, tg, grad_accum)[2]
 
     def test_overflow_with_algebraic_rollback_stays_finite(
         self, tiny_spec, tiny_batches

@@ -1,5 +1,7 @@
 """Finite-difference and invariant tests for the numpy layers."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,11 +11,13 @@ from repro.numeric.layers import (
     Dense,
     Embedding,
     LayerNorm,
+    _cube,
     cross_entropy,
     gelu,
     gelu_grad,
     softmax,
 )
+from repro.tensors.workspace import ActivationWorkspace
 
 
 def fd_check(f, x, analytic, eps=1e-4, tol=2e-3):
@@ -59,6 +63,76 @@ class TestGelu:
         eps = 1e-5
         fd = (gelu(np.array(x + eps)) - gelu(np.array(x - eps))) / (2 * eps)
         assert gelu_grad(np.array(x)) == pytest.approx(fd, abs=1e-4)
+
+    @pytest.mark.parametrize("fn", [gelu, gelu_grad])
+    def test_workspace_path_is_bitwise_plain(self, rng, fn):
+        x = (3 * rng.standard_normal((4, 33, 24))).astype(np.float32)
+        ws = ActivationWorkspace()
+        got = fn(x, ws)
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, fn(x))
+
+    @pytest.mark.parametrize("fn", [gelu, gelu_grad])
+    def test_workspace_path_steady_state_allocates_nothing(self, rng, fn):
+        x = rng.standard_normal((8, 24)).astype(np.float32)
+        ws = ActivationWorkspace()
+        fn(x, ws)
+        ws.new_step()
+        allocs = ws.alloc_count
+        fn(x, ws)
+        assert ws.alloc_count == allocs
+
+
+class TestCube:
+    """GELU's cube: an fp64 product rounded once to the input dtype."""
+
+    @staticmethod
+    def exact(x: np.ndarray) -> np.ndarray:
+        # The exact rational cube, rounded through float (as fp64) to fp32.
+        return np.array(
+            [np.float32(Fraction(float(v)) ** 3) for v in x],
+            dtype=np.float32,
+        )
+
+    @pytest.mark.parametrize("with_ws", [False, True])
+    def test_matches_exact_rational_cube(self, rng, with_ws):
+        x = np.concatenate([
+            rng.standard_normal(2000),
+            rng.uniform(-1e4, 1e4, 1000),
+            rng.uniform(-1e-10, 1e-10, 1000),
+        ]).astype(np.float32)
+        ws = ActivationWorkspace() if with_ws else None
+        np.testing.assert_array_equal(_cube(x, ws), self.exact(x))
+
+    def test_edge_cases(self):
+        tiny = np.finfo(np.float32).smallest_subnormal
+        finite = np.array(
+            [0.0, -0.0, tiny, -tiny, 1e-39, -1e-39, 1e-13, 2.0e12,
+             -2.0e12, 1e13, -1e13, np.finfo(np.float32).max],
+            dtype=np.float32,
+        )
+        with np.errstate(over="ignore"):
+            got = _cube(finite)
+            want = self.exact(finite)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(finite))
+        assert np.isinf(got[-3:]).all() and got[-2] < 0
+        special = np.array([np.inf, -np.inf, np.nan], dtype=np.float32)
+        np.testing.assert_array_equal(
+            _cube(special), np.array([np.inf, -np.inf, np.nan], np.float32)
+        )
+
+    def test_within_one_ulp_of_power(self, rng):
+        x = rng.standard_normal(1 << 20).astype(np.float32)
+        ours = _cube(x).view(np.int32).astype(np.int64)
+        libm = np.power(x, 3).view(np.int32).astype(np.int64)
+        assert np.abs(ours - libm).max() <= 1
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    def test_keeps_input_dtype(self, rng, dtype):
+        x = rng.standard_normal(64).astype(dtype)
+        assert _cube(x).dtype == dtype
+        assert _cube(x, ActivationWorkspace()).dtype == dtype
 
 
 class TestDense:
